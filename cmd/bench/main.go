@@ -49,9 +49,9 @@
 // (comma separated) exits non-zero when benchmark A's ns/op exceeds
 // 1.25 times benchmark B's at any GOMAXPROCS both were swept across —
 // the A-8 entry is compared against B-8, the suffixless entry against
-// the suffixless entry. CI uses it to fail when the parallel whale peel
-// falls behind its serial twin at -cpu 1 (where Parallelism resolves to
-// the serial kernels and only dispatch overhead separates the pair).
+// the suffixless entry. CI uses it to fail when the fused skewed batch
+// falls behind the per-query fan-out ("-ratiogate
+// BenchmarkEngineSkewedBatchFused<=1.25xBenchmarkEngineSkewedBatchFanout").
 package main
 
 import (

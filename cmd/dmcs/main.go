@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -339,14 +338,14 @@ func runUpdates(g *graph.Graph, byLabel map[string]graph.Node, path, walDir, alg
 			u, v := intern(fields[0]), intern(fields[1])
 			w := 1.0
 			if len(fields) >= 3 {
-				if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
-					fatalf("line %d: bad weight %q: %v", lineNo, fields[2], err)
+				if w, err = graph.ParseWeight(fields[2]); err != nil {
+					fatalf("line %d: %v", lineNo, err)
 				}
 			} else if cmd == "setw" {
 				fatalf("line %d: setw wants an explicit weight", lineNo)
 			}
 			// A bare add is the API's AddEdge; an explicit weight column
-			// (0 included) is honored exactly via SetWeight.
+			// is honored exactly via SetWeight.
 			if cmd == "add" && len(fields) < 3 {
 				pending.AddEdge(u, v)
 			} else {

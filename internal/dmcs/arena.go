@@ -38,9 +38,6 @@ type Arena struct {
 	layerFill    []int32      // bucket fill cursors
 	layerInLayer []int32      // per-local-node layer generation tag
 	layerGen     int32        // reset per query; bumped per theta layer
-
-	parNode  []graph.Node // per-worker argmax winners (parallel NCA scan)
-	parScore []float64    // per-worker argmax scores
 }
 
 // NewArena returns an empty arena; buffers are sized by the first query.
@@ -70,10 +67,6 @@ func (a *Arena) Poison() {
 	poisonInt32s(a.layerFill)
 	poisonInt32s(a.layerInLayer)
 	a.layerGen = junk
-	poisonNodes(a.parNode)
-	for i := range a.parScore {
-		a.parScore[i] = -23130.23130
-	}
 	a.ps = peelState{}
 }
 
@@ -105,20 +98,6 @@ func growInt32Slice(s []int32, n int) []int32 {
 	if cap(s) < n {
 		//dmcs:allow hotpath grow-once arena resize: amortized to zero per query after warmup
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growFloat64Slice(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growThetaItems(s []thetaItem, n int) []thetaItem {
-	if cap(s) < n {
-		return make([]thetaItem, n)
 	}
 	return s[:n]
 }

@@ -143,17 +143,6 @@ type Options struct {
 	// with TimedOut set, exactly like a Timeout expiry. The engine wires a
 	// context.Context's Done channel here.
 	Cancel <-chan struct{}
-	// Parallelism bounds how many goroutines a single search may use for
-	// its heavy phases (BFS layering, whole-layer removal rounds, Θ-heap
-	// fills, NCA candidate scans). Values <= 1 keep the search fully
-	// serial; larger values are capped at GOMAXPROCS and engage only on
-	// components above an internal size threshold (~8k nodes), so small
-	// queries never pay gang-scheduling overhead. Results are
-	// bit-identical to the serial search at any setting: parallel rounds
-	// process nodes in ascending local id — exactly the serial removal
-	// order — and merge float work in that fixed order, so Parallelism
-	// participates in no cache key and changes no answer, only latency.
-	Parallelism int
 }
 
 // Result is the outcome of a community search.
@@ -366,9 +355,6 @@ type peelState struct {
 	bestIdx   int
 	bestScore float64
 	poll      deadlinePoller
-	// par is the resolved worker count for this peel's parallel phases
-	// (1 = serial; see effectiveParallelism).
-	par int
 }
 
 // newPeelState resets the arena's embedded peel state around an
@@ -386,7 +372,6 @@ func newPeelState(a *Arena, sub *graph.SubCSR, v *graph.CSRView, origGlobals, un
 		origGlobals: origGlobals,
 		universe:    universe,
 		trace:       a.trace[:0],
-		par:         effectiveParallelism(opts.Parallelism, sub.NumNodes()),
 	}
 	s.bestScore = s.score()
 	if opts.Timeout > 0 {

@@ -80,7 +80,7 @@ func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, use
 	}
 	k := sub.NumNodes()
 	s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
-	dist := bfsInto(a, s.v, protected, k, s.par)
+	dist := s.v.MultiSourceBFSInto(protected, a.g.Dist(0, k), a.g.Queue(k))
 	maxD := groupLayersInto(a, k, dist)
 	for d := maxD; d >= 1; d-- {
 		if s.expired() {
@@ -154,14 +154,6 @@ func peelLayer(s *peelState, cand []graph.Node, useTheta bool) {
 // pushed and the stale one is skipped on pop (Lemma 5 makes these the
 // only updates needed). Layer membership is a generation-tagged arena
 // slice — the inLayer map of the historical implementation.
-//
-// The initial heap fill is the one parallelizable piece: each
-// candidate's Θ entry depends only on the pre-drain subgraph, so on
-// large layers workers score fixed chunks into fixed slice positions
-// (fillThetaChunk) and the heap built from the filled slice is
-// identical to the serial append loop's. The drain itself is a
-// sequential dependence chain — every pop depends on the pushes of the
-// previous removal — and stays serial (drainTheta, the hotpath kernel).
 func peelLayerTheta(s *peelState, cand []graph.Node) {
 	a := s.a
 	k := s.sub.NumNodes()
@@ -178,17 +170,9 @@ func peelLayerTheta(s *peelState, cand []graph.Node) {
 		mark[u] = gen
 	}
 	h := &a.pq
-	if par := s.par; par > 1 && len(cand) >= parallelMinLayer {
-		h.items = growThetaItems(h.items, len(cand))
-		items := h.items
-		graph.ParRange(par, len(cand), func(_, lo, hi int) {
-			fillThetaChunk(s, cand, items, lo, hi)
-		})
-	} else {
-		h.items = h.items[:0]
-		for _, u := range cand {
-			h.items = append(h.items, thetaOf(s, u))
-		}
+	h.items = h.items[:0]
+	for _, u := range cand {
+		h.items = append(h.items, thetaOf(s, u))
 	}
 	h.init()
 	drainTheta(s, mark, gen)
@@ -257,9 +241,8 @@ func peelLayerLambda(s *peelState, cand []graph.Node) {
 // implementation carried.
 func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	k := sub.NumNodes()
-	par := effectiveParallelism(opts.Parallelism, k)
 	vAll := a.g.ViewAll(0, sub)
-	dist := bfsInto(a, vAll, protected, k, par)
+	dist := vAll.MultiSourceBFSInto(protected, a.g.Dist(0, k), a.g.Queue(k))
 	maxD := groupLayersInto(a, k, dist)
 	wG := sub.TotalWeight()
 
@@ -281,19 +264,11 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 			timedOut = true
 			break
 		}
-		// Each round removes one whole outermost layer. Large layers go
-		// through the round-synchronous parallel kernel, which leaves the
-		// view bit-identical to the serial ascending-id loop below (the
-		// layer buckets come out of groupLayersInto id-sorted).
-		layer := a.layer(d)
-		if par > 1 && len(layer) >= parallelMinLayer {
-			removeLayerRound(a, vAll, layer, dist, int32(d), par)
-			phase1 += len(layer)
-		} else {
-			for _, u := range layer {
-				vAll.Remove(u)
-				phase1++
-			}
+		// Each round removes one whole outermost layer, in ascending id
+		// order (groupLayersInto buckets come out id-sorted).
+		for _, u := range a.layer(d) {
+			vAll.Remove(u)
+			phase1++
 		}
 		if sc := scoreView(vAll, wG, opts); sc >= bestScore {
 			bestScore, bestJ = sc, d-1

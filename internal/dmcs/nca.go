@@ -1,6 +1,8 @@
 package dmcs
 
 import (
+	"math"
+
 	"dmcs/internal/graph"
 	"dmcs/internal/modularity"
 )
@@ -49,14 +51,7 @@ func runNCA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, pic
 		isQuery[u] = true
 	}
 	// minimum shortest-path distance from the query nodes, for tie-breaks.
-	// The parallel BFS runs over the all-alive view and yields the same
-	// distances (BFS levels are schedule- and substrate-independent).
-	var dist []int32
-	if s.par > 1 {
-		dist = s.v.MultiSourceBFSParInto(q, a.g.Dist(0, k), a.g.Queue(k), s.par, a.g.ParNext(s.par))
-	} else {
-		dist = sub.MultiSourceBFSInto(q, a.g.Dist(0, k), a.g.Queue(k))
-	}
+	dist := sub.MultiSourceBFSInto(q, a.g.Dist(0, k), a.g.Queue(k))
 	// next arena slots for the re-compaction ping-pong (slot 0 of each
 	// resource currently backs sub / the view / dist / isQuery)
 	subSlot, viewSlot, markSlot := 1, 1, 1
@@ -80,20 +75,7 @@ func runNCA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, pic
 		} else {
 			art = s.v.ArticulationPointsInto(a.g.Art())
 		}
-		// The candidate scan picks the maximum under a total order (pick
-		// score, then distance from the query — farther removed first —
-		// then smaller id), so it parallelizes exactly: chunk maxima
-		// merged under the same order reproduce the serial winner. The
-		// articulation DFS above stays serial and dominates NCA's cost,
-		// which bounds this variant's parallel speedup (see README).
-		dS := s.v.NodeWeightSum()
-		n := s.sub.NumNodes()
-		var best graph.Node
-		if s.par > 1 && n >= parallelMinNodes {
-			best, _ = ncaScanPar(s, art, isQuery, kArr, dist, dS, weighted, pick, n, s.par)
-		} else {
-			best, _ = ncaScanChunk(s, art, isQuery, kArr, dist, dS, weighted, pick, 0, n)
-		}
+		best := ncaScan(s, art, isQuery, kArr, dist, weighted, pick)
 		if best < 0 {
 			break // only articulation or query nodes remain
 		}
@@ -141,4 +123,35 @@ func runNCA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, pic
 		}
 	}
 	return s.result(), nil
+}
+
+// ncaScan returns the best removable candidate — alive, not an
+// articulation point, not a query node — under a total order: higher
+// pick score first, then farther from the query, then smaller id. It
+// returns -1 when no candidate remains.
+func ncaScan(s *peelState, art []bool, isQuery []bool, kArr []float64, dist []int32, weighted bool, pick pickFunc) graph.Node {
+	dS := s.v.NodeWeightSum()
+	n := s.sub.NumNodes()
+	var best graph.Node = -1
+	bestScore := math.Inf(-1)
+	for ui := 0; ui < n; ui++ {
+		u := graph.Node(ui)
+		if !s.v.Alive(u) || art[u] || isQuery[u] {
+			continue
+		}
+		kv := float64(s.v.DegreeIn(u))
+		if weighted {
+			kv = kArr[u]
+		}
+		sc := pick(s.wG, dS, kv, s.dOf(u))
+		switch {
+		case sc > bestScore:
+			bestScore, best = sc, u
+		case sc == bestScore && best >= 0:
+			if dist[u] > dist[best] || (dist[u] == dist[best] && u < best) {
+				best = u
+			}
+		}
+	}
+	return best
 }

@@ -6,13 +6,13 @@ import (
 	"dmcs/internal/graph"
 )
 
-// whaleGraph is the intra-query parallelism fixture: ONE connected
+// whaleGraph is the whale-component fixture: ONE connected
 // expander-style component of n nodes (ring for connectivity plus two
 // affine chord families, degree ~6). Unlike the ring+chord small-query
 // fixture, whose BFS layers stay a few dozen nodes wide, the affine
 // chords make frontiers grow multiplicatively — layers reach thousands
-// of nodes within a few hops, which is the regime the round-synchronous
-// kernels (parallel BFS, fused layer removal, parallel Θ-fill) target.
+// of nodes within a few hops, so whole-layer removal and the Θ-heap
+// dominate the peel.
 func whaleGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
@@ -23,9 +23,8 @@ func whaleGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-// whaleNodes keeps the component above parallelMinNodes (8192) with
-// headroom, while holding a full serial peel to a few milliseconds so
-// the -cpu 1,8 CI comparison stays cheap.
+// whaleNodes holds a full peel to a few milliseconds, so the CI smoke
+// run stays cheap.
 const whaleNodes = 16384
 
 // benchWhale measures one full community search on the whale component.
@@ -45,28 +44,14 @@ func benchWhale(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkWhaleFPAPruningSerial is the serial baseline for the headline
-// whale workload: Section 5.7 layer pruning on a 16k-node component.
+// BenchmarkWhaleFPAPruningSerial is the headline whale workload:
+// Section 5.7 layer pruning on a 16k-node component.
 func BenchmarkWhaleFPAPruningSerial(b *testing.B) {
-	benchWhale(b, Options{LayerPruning: true, Parallelism: 1})
+	benchWhale(b, Options{LayerPruning: true})
 }
 
-// BenchmarkWhaleFPAPruningPar is the same workload with the parallel
-// peel requested. Parallelism is capped at GOMAXPROCS, so under
-// `-cpu 1` this resolves to the serial kernels plus dispatch checks —
-// CI gates that it stays within noise of the Serial twin there — and
-// under `-cpu 8` it exercises the gang kernels.
-func BenchmarkWhaleFPAPruningPar(b *testing.B) {
-	benchWhale(b, Options{LayerPruning: true, Parallelism: 8})
-}
-
-// BenchmarkWhaleFPASerial / Par: the non-pruned peel, where the Θ-heap
-// drain is the serial residue and only the BFS and per-layer Θ-fill
-// parallelize (Amdahl bounds this pair well below the pruning pair).
+// BenchmarkWhaleFPASerial is the non-pruned peel, where the Θ-heap
+// drain of every layer dominates.
 func BenchmarkWhaleFPASerial(b *testing.B) {
-	benchWhale(b, Options{Parallelism: 1})
-}
-
-func BenchmarkWhaleFPAPar(b *testing.B) {
-	benchWhale(b, Options{Parallelism: 8})
+	benchWhale(b, Options{})
 }

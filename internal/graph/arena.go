@@ -37,9 +37,6 @@ type Arena struct {
 	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
 	ksum  []float64 // fused k_{v,S} sums (ArticulationPointsKInto)
 	art   ArtScratch
-
-	parNext [][]Node // per-worker BFS frontier buffers (parallel peel)
-	parCnt  []int    // per-worker integer accumulators (RemoveLayerRound)
 }
 
 // NewArena returns an empty arena; buffers are sized on first use.
@@ -247,29 +244,6 @@ func (a *Arena) KSum(n int) []float64 {
 // Art returns the articulation-DFS scratch.
 func (a *Arena) Art() *ArtScratch { return &a.art }
 
-// ParNext returns workers per-worker frontier buffers for the parallel
-// BFS (each empty; grown buffers are kept across queries). The outer
-// slice is sized exactly so MultiSourceBFSParInto's worker w can write
-// its slot without racing its siblings.
-func (a *Arena) ParNext(workers int) [][]Node {
-	if cap(a.parNext) < workers {
-		next := make([][]Node, workers)
-		copy(next, a.parNext)
-		a.parNext = next
-	}
-	a.parNext = a.parNext[:workers]
-	return a.parNext
-}
-
-// ParCounts returns workers per-worker integer accumulator slots
-// (contents arbitrary; RemoveLayerRound zeroes what it uses).
-func (a *Arena) ParCounts(workers int) []int {
-	if cap(a.parCnt) < workers {
-		a.parCnt = make([]int, workers)
-	}
-	return a.parCnt[:workers]
-}
-
 // Poison overwrites every arena-owned buffer with garbage while keeping
 // the epoch bookkeeping in a legal (worst-case) state: all table entries
 // tagged with the CURRENT epoch so any consumer that forgets to begin a
@@ -313,12 +287,6 @@ func (a *Arena) Poison() {
 		poisonBool(a.marks[i][:cap(a.marks[i])])
 	}
 	poisonFloat64(a.ksum[:cap(a.ksum)])
-	for i := range a.parNext {
-		poisonNodes(a.parNext[i][:cap(a.parNext[i])])
-	}
-	for i := range a.parCnt {
-		a.parCnt[i] = junk
-	}
 	s := &a.art
 	poisonBool(s.isArt[:cap(s.isArt)])
 	poisonInt32(s.disc[:cap(s.disc)])

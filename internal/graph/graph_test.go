@@ -239,6 +239,11 @@ func TestParseEdgeListErrors(t *testing.T) {
 	if _, err := ParseEdgeList(strings.NewReader("a b notanumber\n")); err == nil {
 		t.Fatal("want error for bad weight")
 	}
+	for _, w := range []string{"NaN", "+Inf", "-Inf", "-1", "0", "-0"} {
+		if _, err := ParseEdgeList(strings.NewReader("a b 2\nb c " + w + "\n")); err == nil {
+			t.Fatalf("want error for weight %s outside finite w > 0", w)
+		}
+	}
 }
 
 func TestParseCommunities(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,6 +23,8 @@ import (
 // back to the default — correct by accident for the in-memory Graph, but
 // lost on any explicit per-edge weight sweep.) Repeated edge lines
 // overwrite: the last line mentioning an edge decides its weight.
+// Weights must be finite and > 0 (see ParseWeight); any other weight
+// column is an error.
 func ParseEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -51,9 +54,9 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		}
 		u, v := intern(f[0]), intern(f[1])
 		if len(f) >= 3 {
-			w, err := strconv.ParseFloat(f[2], 64)
+			w, err := ParseWeight(f[2])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, f[2], err)
+				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
 			b.SetWeight(u, v, w)
 			anyWeighted = true
@@ -83,6 +86,21 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 	}
 	b.SetLabels(labels)
 	return b.Build(), nil
+}
+
+// ParseWeight parses an edge-weight token from any text input. The
+// weight domain is finite w > 0: NaN, ±Inf, zero and negative weights
+// are refused, since density modularity divides by weight sums and a
+// non-finite score cannot be encoded as JSON.
+func ParseWeight(tok string) (float64, error) {
+	w, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad weight %q: %v", tok, err)
+	}
+	if !(w > 0) || math.IsInf(w, 1) {
+		return 0, fmt.Errorf("bad weight %q: want a finite number > 0", tok)
+	}
+	return w, nil
 }
 
 // WriteEdgeList writes g as "u v" lines using labels when present.

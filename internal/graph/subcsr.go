@@ -227,10 +227,3 @@ func growBool(s []bool, n int) []bool {
 	}
 	return s[:n]
 }
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
-}

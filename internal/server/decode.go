@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -112,7 +113,13 @@ func variantByName(name string) (dmcs.Variant, bool) {
 func (r queryRequest) timeoutOf(def, max time.Duration) time.Duration {
 	d := def
 	if r.TimeoutMS > 0 {
-		d = time.Duration(r.TimeoutMS) * time.Millisecond
+		// Clamp before multiplying: a timeout_ms past MaxInt64/1e6 would
+		// wrap the product negative or small and slip under max.
+		if r.TimeoutMS > int64(math.MaxInt64/time.Millisecond) {
+			d = math.MaxInt64
+		} else {
+			d = time.Duration(r.TimeoutMS) * time.Millisecond
+		}
 	}
 	if max > 0 && d > max {
 		d = max
@@ -161,9 +168,9 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 			}
 			switch {
 			case len(args) >= 3:
-				w, err := strconv.ParseFloat(args[2], 64)
+				w, err := graph.ParseWeight(args[2])
 				if err != nil {
-					return b, fmt.Errorf("server: line %d: bad weight %q: %v", lineNo, args[2], err)
+					return b, fmt.Errorf("server: line %d: %v", lineNo, err)
 				}
 				b.SetWeight(u, v, w)
 			case cmd == "setw":

@@ -2,6 +2,7 @@ package server
 
 import (
 	"testing"
+	"time"
 )
 
 // The decoders are the server's hostile-input boundary: every byte a
@@ -23,7 +24,10 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"nodes":[99999999999999999999]}`))
+	f.Add([]byte(`{"nodes":[1],"timeout_ms":9223372036855}`))
+	f.Add([]byte(`{"nodes":[1],"timeout_ms":18446744073710}`))
 	const maxNodes = 64
+	const defTimeout, maxTimeout = 2 * time.Second, 30 * time.Second
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, _, err := decodeQuery(body, maxNodes)
 		if err != nil {
@@ -39,6 +43,9 @@ func FuzzDecodeQuery(f *testing.F) {
 		}
 		if req.TimeoutMS < 0 {
 			t.Fatalf("accepted negative timeout_ms %d", req.TimeoutMS)
+		}
+		if d := req.timeoutOf(defTimeout, maxTimeout); d <= 0 || d > maxTimeout {
+			t.Fatalf("timeout_ms %d resolved to %v, want (0, %v]", req.TimeoutMS, d, maxTimeout)
 		}
 	})
 }

@@ -159,6 +159,35 @@ func TestQueryValidation(t *testing.T) {
 	wantCode(t, get(s, "/query"), http.StatusMethodNotAllowed, "invalid")
 }
 
+// TestQueryTimeoutClamp pins timeout_ms resolution: any value above the
+// cap resolves to MaxTimeout, including values whose millisecond-to-
+// Duration product overflows int64 (9223372036855 once wrapped to a
+// negative budget, 18446744073710 to 448µs).
+func TestQueryTimeoutClamp(t *testing.T) {
+	const def, max = 2 * time.Second, 30 * time.Second
+	cases := []struct {
+		body string
+		want time.Duration
+	}{
+		{`{"nodes":[0]}`, def},
+		{`{"nodes":[0],"timeout_ms":250}`, 250 * time.Millisecond},
+		{`{"nodes":[0],"timeout_ms":30000}`, max},
+		{`{"nodes":[0],"timeout_ms":60000}`, max},
+		{`{"nodes":[0],"timeout_ms":9223372036855}`, max},
+		{`{"nodes":[0],"timeout_ms":18446744073710}`, max},
+		{`{"nodes":[0],"timeout_ms":9223372036854775807}`, max},
+	}
+	for _, tc := range cases {
+		req, _, err := decodeQuery([]byte(tc.body), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if got := req.timeoutOf(def, max); got != tc.want {
+			t.Errorf("%s: timeout %v, want %v", tc.body, got, tc.want)
+		}
+	}
+}
+
 func TestApplyEndpoint(t *testing.T) {
 	s, eng := newTestServer(t, engine.Options{}, Config{})
 	// Split community 0's ring by cutting enough edges around node 0
@@ -187,6 +216,29 @@ func TestApplyEndpoint(t *testing.T) {
 
 	wantCode(t, post(s, "/apply", "frobnicate 1 2\n"), http.StatusBadRequest, "invalid")
 	wantCode(t, post(s, "/apply", "add 1 99999999999\n"), http.StatusBadRequest, "invalid")
+}
+
+// TestApplyRejectsBadWeights pins the weight domain at the /apply
+// boundary: a NaN weight once published and turned the next /query on
+// its component into a 200 with an empty body (its score could not be
+// JSON-encoded). Every weight outside finite w > 0 must be refused
+// before the batch reaches the engine.
+func TestApplyRejectsBadWeights(t *testing.T) {
+	s, eng := newTestServer(t, engine.Options{}, Config{})
+	for _, w := range []string{"NaN", "+Inf", "-1", "0"} {
+		for _, op := range []string{"setw", "add"} {
+			body := fmt.Sprintf("%s 0 1 %s\n", op, w)
+			wantCode(t, post(s, "/apply", body), http.StatusBadRequest, "invalid")
+			if got := eng.Epoch(); got != 0 {
+				t.Fatalf("%q advanced the epoch to %d", body, got)
+			}
+		}
+	}
+	w := post(s, "/query", `{"nodes":[0]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("query after refused applies: %d %s", w.Code, w.Body.String())
+	}
+	decodeBody[queryResponse](t, w)
 }
 
 func TestRateLimitSheds(t *testing.T) {
